@@ -119,7 +119,7 @@ pub struct Report {
     entries: Vec<Entry>,
     names: BTreeSet<String>,
     ops: Vec<(String, Ops)>,
-    gate_failures: Vec<String>,
+    failed_gates: usize,
 }
 
 impl Report {
@@ -184,12 +184,12 @@ impl Report {
             if ok { "pass" } else { "FAIL" }
         );
         if !ok {
-            self.gate_failures.push(name.to_string());
+            self.failed_gates += 1;
         }
     }
 
     pub fn gates_passed(&self) -> bool {
-        self.gate_failures.is_empty()
+        self.failed_gates == 0
     }
 
     /// Whether the run is correct: every gate passed, no op failed, and
