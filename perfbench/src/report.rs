@@ -188,6 +188,24 @@ impl Report {
         }
     }
 
+    /// The gate that the result holds exactly the `expected` metrics.
+    pub fn expect_metrics(&mut self, expected: &[&str]) {
+        let expected: BTreeSet<&str> = expected.iter().copied().collect();
+        let written: BTreeSet<&str> = self
+            .entries
+            .iter()
+            .filter(|e| e.value.is_finite())
+            .map(|e| e.name.as_str())
+            .collect();
+        let missing: Vec<&str> = expected.difference(&written).copied().collect();
+        let extra: Vec<&str> = written.difference(&expected).copied().collect();
+        self.gate(
+            "metrics_complete",
+            missing.is_empty() && extra.is_empty(),
+            &format!("missing or not finite {missing:?}; not listed {extra:?}"),
+        );
+    }
+
     pub fn gates_passed(&self) -> bool {
         self.failed_gates == 0
     }
@@ -235,6 +253,22 @@ pub fn peak_rss_mb() -> f64 {
                 .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         })
         .map_or(f64::NAN, |kb| kb / 1024.0)
+}
+
+/// CPU time of the whole machine from the first line of `/proc/stat`:
+/// `(steal, total)` in clock ticks. Steal is time the hypervisor gave
+/// to other guests while this one wanted to run.
+pub fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .take(8)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((*fields.get(7)?, fields.iter().sum()))
 }
 
 #[cfg(test)]

@@ -1,28 +1,30 @@
-//! `serve-d4-read` and `serve-d2-write`: the micro-batching server on the
-//! 12k-node / 48k-edge partition graph, driven by one load-generator
-//! thread. `serve-d2-write` puts one graph update after every four reads
-//! of the same schedule.
+//! The serving stage of every workload: the first trained model is
+//! restored from its checkpoint into the micro-batching server, driven
+//! by one load-generator thread. On `serve-d2-write` one graph update
+//! follows every four reads of the same schedule; the other workloads
+//! only read.
 //!
-//! The untraced run spends `--seconds` in a closed loop with `max_batch`
-//! reads in flight, cut into one-second windows that each start a fresh
-//! warmed server from the same checkpoint; `capacity_ops_s` is the median
-//! window. The traced run adds open loops at the two frozen rates `lo`
-//! and `hi` (read latency from due time), direct engine timings and the
-//! server's and engine's counters.
+//! The untraced stage spends `cap_share` of `--seconds` in a closed loop
+//! with `max_batch` reads in flight, cut into one-second windows that
+//! each start a fresh server (over one warmed engine on the read-only
+//! workloads, over a freshly restored one per window on the write
+//! workload); `capacity_ops_s` is the median window. The traced stage adds open
+//! loops at the workload's two frozen rates `lo` and `hi` (read latency
+//! from due time), direct engine timings (the patch path included, on
+//! every workload) and the server's and engine's counters.
 //!
 //! Gates: before timing, served rows equal full-graph `evaluate` rows
-//! bitwise; on the read-only workload every reply is checked against
+//! bitwise; on the read-only workloads every reply is checked against
 //! them too. After each write window or phase the patched adjacency
 //! equals a from-scratch rebuild (by fingerprint, checked once the
 //! measurement is over) and served rows equal an eval of the rebuilt
 //! graph.
 
 use crate::load::{closed_loop, open_loop, Op, Outcome};
-use crate::report::{peak_rss_mb, time_ms, timed_setup, Ops, Report, Samples};
-use skipnode_graph::{
-    partition_graph, FeatureStyle, Graph, GraphUpdate, PartitionConfig, UpdateStream,
-};
-use skipnode_nn::{evaluate, BackboneSpec, ModelCheckpoint, Strategy};
+use crate::report::{peak_rss_mb, time_ms, Ops, Report, Samples};
+use crate::workload::Workload;
+use skipnode_graph::{Graph, GraphUpdate, UpdateStream};
+use skipnode_nn::{evaluate, ModelCheckpoint, Strategy};
 use skipnode_serve::{
     EngineStats, InferenceServer, ServeEngine, ServeMode, ServerConfig, ServerStats,
 };
@@ -30,23 +32,17 @@ use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::{kstats, Matrix, SplitRng};
 use std::time::{Duration, Instant};
 
-/// Generation seed of the served graph: the partition graph the serving
-/// runtime was first measured on. Traffic, not the graph, varies by seed.
-const GRAPH_SEED: u64 = 9;
-const NODES: usize = 12_000;
-const DIM: usize = 32;
-const HIDDEN: usize = 64;
-const CLASSES: usize = 8;
 const MAX_BATCH: usize = 64;
 const WINDOW: Duration = Duration::from_micros(200);
 /// Share of generated updates that add a node (the rest add an edge).
 const NODE_RATE: f64 = 0.1;
-/// Untimed warm-up set-ups, then timed ones; `setup_s` is their median.
-const SETUP_WARMUP: usize = 10;
-const SETUP_REPS: usize = 21;
 /// Seeded probe queries for the identity gates.
 const PROBES: usize = 64;
-/// Shares of `--seconds` spent in the closed loop and in each open loop.
+/// Updates applied directly to an engine for `serve.update_us`, one
+/// after every four reads as on `serve-d2-write`.
+const UPDATE_PROBES: usize = 500;
+/// Shares of `--seconds` spent in the traced stage's closed loop and in
+/// each of its open loops.
 const CAP_SHARE: f64 = 0.2;
 const OPEN_SHARE: f64 = 0.4;
 /// Phases are cut into windows and a metric is the median of its
@@ -56,93 +52,9 @@ const CAP_WINDOW: Duration = Duration::from_secs(1);
 const READS_PER_WINDOW: f64 = 1000.0;
 const MAX_WINDOWS: usize = 30;
 
-/// The two serving workloads.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    D4Read,
-    D2Write,
-}
-
-impl Workload {
-    pub fn named(name: &str) -> Self {
-        match name {
-            "serve-d4-read" => Workload::D4Read,
-            "serve-d2-write" => Workload::D2Write,
-            _ => panic!("not a serving workload: {name:?}"),
-        }
-    }
-
-    fn depth(self) -> usize {
-        match self {
-            Workload::D4Read => 4,
-            Workload::D2Write => 2,
-        }
-    }
-
-    /// Every `write_every`-th op is a write (0: read-only).
-    fn write_every(self) -> usize {
-        match self {
-            Workload::D4Read => 0,
-            Workload::D2Write => 5,
-        }
-    }
-
-    /// Share of scheduled ops that are reads.
-    fn read_share(self) -> f64 {
-        match self.write_every() {
-            0 => 1.0,
-            k => 1.0 - 1.0 / k as f64,
-        }
-    }
-
-    /// The frozen offered loads `(lo, hi)` in ops/s: about 25% and 50% of
-    /// the closed-loop capacity measured when the benchmark was defined
-    /// (about 1.8k ops/s on d4, 28k on d2, on 2 vCPUs).
-    fn rates(self) -> (f64, f64) {
-        match self {
-            Workload::D4Read => (450.0, 900.0),
-            Workload::D2Write => (7_000.0, 14_000.0),
-        }
-    }
-
-    /// Generous capacity ceiling, sizing the closed loop's schedule.
-    fn max_ops_per_s(self) -> f64 {
-        match self {
-            Workload::D4Read => 4_000.0,
-            Workload::D2Write => 40_000.0,
-        }
-    }
-}
-
-fn generate_graph() -> Graph {
-    partition_graph(
-        &PartitionConfig {
-            n: NODES,
-            m: 4 * NODES,
-            classes: CLASSES,
-            homophily: 0.8,
-            power: 0.3,
-        },
-        DIM,
-        FeatureStyle::BinaryBagOfWords {
-            active: 6,
-            fidelity: 0.9,
-            confusion: 0.1,
-        },
-        &mut SplitRng::new(GRAPH_SEED),
-    )
-}
-
-/// Graph generation, adjacency build, checkpoint byte round-trip and
-/// engine restore: the measured set-up.
-fn setup(ckpt: &ModelCheckpoint) -> (Graph, Vec<u8>) {
-    let graph = generate_graph();
-    graph.gcn_adjacency();
-    let mut bytes = Vec::new();
-    ckpt.write(&mut bytes).expect("checkpoint serializes");
-    let restored = ModelCheckpoint::read(bytes.as_slice()).expect("checkpoint reads back");
-    ServeEngine::from_checkpoint(&restored, &graph, ServeMode::F32).expect("engine restores");
-    (graph, bytes)
+/// The checkpoint's serving engine on `graph`, as set-up builds it.
+pub fn restore(ckpt: &ModelCheckpoint, graph: &Graph) -> ServeEngine {
+    ServeEngine::from_checkpoint(ckpt, graph, ServeMode::F32).expect("engine restores")
 }
 
 /// Full-graph eval of the checkpointed model on `graph`.
@@ -174,8 +86,7 @@ fn rows_match(served: &Matrix, full: &Matrix, queries: &[usize]) -> bool {
 /// A restored engine with its first-hop cache filled by one all-node
 /// batch, as a long-running server's would be.
 fn warm_engine(ckpt: &ModelCheckpoint, graph: &Graph) -> ServeEngine {
-    let mut engine =
-        ServeEngine::from_checkpoint(ckpt, graph, ServeMode::F32).expect("engine restores");
+    let mut engine = restore(ckpt, graph);
     let all: Vec<usize> = (0..graph.num_nodes()).collect();
     engine.serve_batch(&all);
     engine
@@ -183,20 +94,23 @@ fn warm_engine(ckpt: &ModelCheckpoint, graph: &Graph) -> ServeEngine {
 
 /// `count` seeded updates from [`UpdateStream`] against the base graph
 /// (none on a read-only workload).
-fn updates(w: Workload, graph: &Graph, seed: u64, count: usize) -> Vec<GraphUpdate> {
-    if w.write_every() == 0 {
+fn updates(w: &Workload, graph: &Graph, seed: u64, count: usize) -> Vec<GraphUpdate> {
+    if w.write_every == 0 {
         return Vec::new();
     }
-    let mut stream = UpdateStream::new(&graph.degrees(), NODE_RATE, DIM, seed ^ 0x7570_6461);
-    stream.take_updates(count / w.write_every() + 1)
+    update_stream(graph, seed ^ 0x7570_6461).take_updates(count / w.write_every + 1)
+}
+
+fn update_stream(graph: &Graph, seed: u64) -> UpdateStream {
+    UpdateStream::new(&graph.degrees(), NODE_RATE, graph.feature_dim(), seed)
 }
 
 /// `count` ops: uniform reads over the base graph's nodes drawn from
 /// `seed`, with every `write_every(w)`-th op the next of `updates`.
-fn schedule(w: Workload, n: usize, seed: u64, count: usize, updates: &[GraphUpdate]) -> Vec<Op> {
+fn schedule(w: &Workload, n: usize, seed: u64, count: usize, updates: &[GraphUpdate]) -> Vec<Op> {
     let mut rng = SplitRng::new(seed);
     let mut writes = updates.iter().cloned();
-    let every = w.write_every();
+    let every = w.write_every;
     (0..count)
         .map(|i| match every {
             k if k > 0 && i % k == k - 1 => Op::Write(writes.next().expect("enough updates")),
@@ -222,9 +136,9 @@ fn rebuild(graph: &Graph, writes: &[GraphUpdate]) -> Graph {
     Graph::new(
         n,
         edges,
-        Matrix::from_vec(n, DIM, feat),
+        Matrix::from_vec(n, graph.feature_dim(), feat),
         vec![0; n],
-        CLASSES,
+        graph.num_classes(),
     )
 }
 
@@ -251,8 +165,8 @@ fn fingerprint(m: &CsrMatrix) -> u64 {
 /// What a write phase left behind, for the rebuild gate: how many of its
 /// update sequence it applied, its patched adjacency's fingerprint, and
 /// seeded probe rows (the newest node included) served after the phase.
-/// Checked after the measurement, so the gate's own allocations stay out
-/// of `peak_rss_mb`.
+/// Checked once the load phase is over, so the rebuilds stay out of its
+/// windows.
 struct WriteCheck {
     writes: usize,
     adjacency: Option<u64>,
@@ -307,7 +221,7 @@ fn verify_writes(
 
 /// What every live phase of one serve run shares.
 struct Served<'a> {
-    w: Workload,
+    w: &'a Workload,
     ckpt: &'a ModelCheckpoint,
     graph: &'a Graph,
     /// Full-graph eval of the base graph.
@@ -320,26 +234,18 @@ struct Capacity {
     rates: Samples,
     server: ServerStats,
     engine: EngineStats,
-    /// VmHWM after the last window, before the rebuild gates ran.
-    peak_rss_mb: f64,
 }
 
 impl Served<'_> {
     /// A server over a freshly restored, warmed engine.
     fn warm_server(&self) -> InferenceServer {
-        InferenceServer::start(
-            warm_engine(self.ckpt, self.graph),
-            ServerConfig {
-                window: WINDOW,
-                max_batch: MAX_BATCH,
-            },
-        )
+        server(warm_engine(self.ckpt, self.graph))
     }
 
     /// Read-only replies must equal the full forward bitwise; with writes
     /// the rebuild gate checks the patched state instead.
     fn reply_check(&self) -> impl Fn(usize, &[f32]) -> bool + Copy + '_ {
-        let read_only = self.w.write_every() == 0;
+        let read_only = self.w.write_every == 0;
         move |node: usize, row: &[f32]| !read_only || same_bits(row, self.full.row(node))
     }
 
@@ -354,19 +260,23 @@ impl Served<'_> {
             rates: Samples::default(),
             server: ServerStats::default(),
             engine: EngineStats::default(),
-            peak_rss_mb: 0.0,
         };
         let (mut reads, mut writes) = (Ops::default(), Ops::default());
         let mut checks = Vec::new();
         // Every window replays one update sequence (each starts from the base
         // graph) under its own read stream.
-        let count = (w.max_ops_per_s() * CAP_WINDOW.as_secs_f64()) as usize;
+        let count = (w.max_ops_per_s * CAP_WINDOW.as_secs_f64()) as usize;
         let sequence = updates(w, graph, seed, count);
+        // Reads change nothing in an engine but its caches, so a read-only
+        // workload hands one warmed engine from window to window.
+        let mut kept = None;
         for i in 0..windows {
             let window_seed = seed ^ 0x6361_7000 ^ ((i as u64) << 40);
             let ops = schedule(w, graph.num_nodes(), window_seed, count, &sequence);
+            let engine = kept.take().unwrap_or_else(|| warm_engine(ckpt, graph));
+            let base = engine.stats();
             let mut o = closed_loop(
-                self.warm_server(),
+                server(engine),
                 &ops,
                 MAX_BATCH,
                 CAP_WINDOW,
@@ -376,19 +286,20 @@ impl Served<'_> {
             reads.add(o.reads);
             writes.add(o.writes);
             if let Some((_, s, e)) = &o.server {
-                add_stats(&mut cap.server, &mut cap.engine, s, e);
+                add_stats(&mut cap.server, &mut cap.engine, s, &since(e, &base));
             }
-            if w.write_every() > 0 {
+            if w.write_every > 0 {
                 checks.push(write_check(&mut o, window_seed));
+            } else {
+                kept = o.server.take().map(|(e, _, _)| e);
             }
-            if o.server.is_none() {
+            if o.server.is_none() && kept.is_none() {
                 // The worker died; later windows would only stall the same way.
                 break;
             }
         }
-        cap.peak_rss_mb = peak_rss_mb();
         report.ops(&format!("reads.{tag}"), reads);
-        if w.write_every() > 0 {
+        if w.write_every > 0 {
             report.ops(&format!("writes.{tag}"), writes);
             let failures: Vec<String> = checks
                 .iter()
@@ -438,7 +349,7 @@ impl Served<'_> {
             self.reply_check(),
         );
         report.ops(&format!("reads.{tag}"), outcome.reads);
-        if w.write_every() > 0 {
+        if w.write_every > 0 {
             report.ops(&format!("writes.{tag}"), outcome.writes);
             let check = write_check(&mut outcome, seed ^ 0x7072);
             let failure = verify_writes(&check, ckpt, graph, &writes);
@@ -449,6 +360,28 @@ impl Served<'_> {
             );
         }
         outcome
+    }
+}
+
+fn server(engine: ServeEngine) -> InferenceServer {
+    InferenceServer::start(
+        engine,
+        ServerConfig {
+            window: WINDOW,
+            max_batch: MAX_BATCH,
+        },
+    )
+}
+
+/// The engine counters gathered since `base`.
+fn since(e: &EngineStats, base: &EngineStats) -> EngineStats {
+    EngineStats {
+        queries: e.queries - base.queries,
+        batches: e.batches - base.batches,
+        updates: e.updates - base.updates,
+        invalidated_rows: e.invalidated_rows - base.invalidated_rows,
+        first_hop_hits: e.first_hop_hits - base.first_hop_hits,
+        first_hop_misses: e.first_hop_misses - base.first_hop_misses,
     }
 }
 
@@ -468,24 +401,23 @@ fn backlog_grows(o: &Outcome) -> bool {
     o.backlog_end > 2 * MAX_BATCH && o.backlog_end > o.backlog_mid
 }
 
-pub fn run(w: Workload, seed: u64, seconds: f64, trace: bool, report: &mut Report) {
-    // The served model: seeded initial weights (serving cost does not
-    // depend on their values), captured as a checkpoint.
-    let spec = BackboneSpec::new("gcn", DIM, HIDDEN, CLASSES, w.depth(), 0.3);
-    let model = spec
-        .build(&mut SplitRng::new(seed ^ 0x6d6f_64656c))
-        .expect("gcn builds");
-    let ckpt = ModelCheckpoint::capture(&spec, model.as_ref());
-
-    let ((graph, bytes), setup_s) = timed_setup(SETUP_WARMUP, SETUP_REPS, || setup(&ckpt));
-
+/// The serving stage. Untraced it reports `capacity_ops_s` and
+/// `peak_rss_mb`; traced, the serving per-layer metrics.
+pub fn run(
+    w: &Workload,
+    ckpt: &ModelCheckpoint,
+    graph: &Graph,
+    seed: u64,
+    seconds: f64,
+    trace: bool,
+    report: &mut Report,
+) {
     // Gates before timing: batched, sequential and all-node serving equal
     // the full-graph eval bitwise.
-    let full = full_eval(&ckpt, &graph);
+    let full = full_eval(ckpt, graph);
     let mut rng = SplitRng::new(seed ^ 0x7072_6f62);
     let probe: Vec<usize> = (0..PROBES).map(|_| rng.below(graph.num_nodes())).collect();
-    let mut engine =
-        ServeEngine::from_checkpoint(&ckpt, &graph, ServeMode::F32).expect("engine restores");
+    let mut engine = restore(ckpt, graph);
     let batched = rows_match(&engine.serve_batch(&probe), &full, &probe);
     let eights = probe
         .chunks(8)
@@ -495,6 +427,7 @@ pub fn run(w: Workload, seed: u64, seconds: f64, trace: bool, report: &mut Repor
         .all(|&q| same_bits(&engine.serve_one(q), full.row(q)));
     let all: Vec<usize> = (0..graph.num_nodes()).collect();
     let every = rows_match(&engine.serve_batch(&all), &full, &all);
+    drop(engine);
     report.gate(
         "served_equals_eval",
         batched && eights && ones && every,
@@ -508,19 +441,23 @@ pub fn run(w: Workload, seed: u64, seconds: f64, trace: bool, report: &mut Repor
 
     let served = Served {
         w,
-        ckpt: &ckpt,
-        graph: &graph,
+        ckpt,
+        graph,
         full: &full,
     };
     if !trace {
-        // The whole measured time goes to the closed loop.
-        let cap = served.capacity(report, "cap", seed, Duration::from_secs_f64(seconds));
-        report.pct("setup_s", &setup_s, 50.0, "s");
+        // The peak so far covers set-up, training, evaluation and one fully
+        // exercised serving engine. The load phase is left out: which of
+        // its threads' freed memory the allocator reuses varies from run
+        // to run and moved this figure by up to 10% between seeds.
+        let rss = peak_rss_mb();
+        let length = Duration::from_secs_f64(seconds * w.cap_share);
+        let cap = served.capacity(report, "cap", seed, length);
         report.value(
             "peak_rss_mb",
-            cap.peak_rss_mb,
+            rss,
             "MiB",
-            "VmHWM after the last window",
+            "VmHWM after the serving gates, before the load phase",
         );
         report.pct("capacity_ops_s", &cap.rates, 50.0, "ops/s");
         return;
@@ -531,21 +468,22 @@ pub fn run(w: Workload, seed: u64, seconds: f64, trace: bool, report: &mut Repor
     let untraced_cap = served.capacity(report, "cap_untraced", seed, cap_time);
     kstats::set_enabled(true);
 
+    let mut bytes = Vec::new();
+    ckpt.write(&mut bytes).expect("checkpoint serializes");
     let read_ms = time_ms(20, || {
         ModelCheckpoint::read(bytes.as_slice()).expect("reads")
     });
-    let restore_ms = time_ms(10, || {
-        ServeEngine::from_checkpoint(&ckpt, &graph, ServeMode::F32).expect("restores")
-    });
-    let full_eval_ms = time_ms(20, || full_eval(&ckpt, &graph));
+    let restore_ms = time_ms(10, || restore(ckpt, graph));
+    let full_eval_ms = time_ms(20, || full_eval(ckpt, graph));
 
-    let mut engine = warm_engine(&ckpt, &graph);
+    let n = graph.num_nodes();
+    let mut engine = warm_engine(ckpt, graph);
     let mut batch_ms = Vec::new();
     let mut rows_per_query = Vec::new();
     let mut qrng = SplitRng::new(seed ^ 0x6261_7463);
     for (b, reps) in [(1, 200), (8, 100), (MAX_BATCH, 40)] {
         let sets: Vec<Vec<usize>> = (0..reps)
-            .map(|_| (0..b).map(|_| qrng.below(graph.num_nodes())).collect())
+            .map(|_| (0..b).map(|_| qrng.below(n)).collect())
             .collect();
         let before = kstats::snapshot();
         let mut it = sets.iter();
@@ -562,32 +500,26 @@ pub fn run(w: Workload, seed: u64, seconds: f64, trace: bool, report: &mut Repor
         rows_per_query.push((b, rows as f64 / (reps * b) as f64));
     }
 
+    // The patch path, timed directly on a warmed engine on every
+    // workload: each update follows four reads, served in batches of 8.
     let mut update_us = Samples::default();
-    if w.write_every() > 0 {
-        let count = 10_000;
-        let writes = updates(w, &graph, seed ^ 0x7570_7573, count);
-        let ops = schedule(w, graph.num_nodes(), seed ^ 0x7570_7573, count, &writes);
-        let mut engine = warm_engine(&ckpt, &graph);
-        let mut reads = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Read(q) => {
-                    reads.push(*q);
-                    if reads.len() == 8 {
-                        engine.serve_batch(&reads);
-                        reads.clear();
-                    }
-                }
-                Op::Write(u) => {
-                    let t = Instant::now();
-                    engine.apply_update(u);
-                    update_us.push(t.elapsed().as_secs_f64() * 1e6);
-                }
-            }
+    let mut engine = warm_engine(ckpt, graph);
+    let mut urng = SplitRng::new(seed ^ 0x7570_7573);
+    let mut reads = Vec::new();
+    for u in update_stream(graph, seed ^ 0x7570_7573).take_updates(UPDATE_PROBES) {
+        reads.extend((0..4).map(|_| urng.below(n)));
+        if reads.len() == 8 {
+            engine.serve_batch(&reads);
+            reads.clear();
         }
+        let t = Instant::now();
+        engine.apply_update(&u);
+        update_us.push(t.elapsed().as_secs_f64() * 1e6);
     }
+    let patched = engine.stats();
+    drop(engine);
 
-    let (lo_rate, hi_rate) = w.rates();
+    let (lo_rate, hi_rate) = w.rates;
     let open = Duration::from_secs_f64(seconds * OPEN_SHARE);
     let cap = served.capacity(report, "cap", seed, cap_time);
     let lo = served.open(report, "lo", seed ^ 0x6c6f, lo_rate, open);
@@ -610,22 +542,20 @@ pub fn run(w: Workload, seed: u64, seconds: f64, trace: bool, report: &mut Repor
         }
     }
     report.pct("serve.full_eval_ms", &full_eval_ms, 50.0, "ms");
+    report.pct("serve.update_us", &update_us, 50.0, "us");
+    report.pct("serve.update_us.p90", &update_us, 90.0, "us");
+    report.value(
+        "serve.invalidated_per_update",
+        patched.invalidated_rows as f64 / patched.updates.max(1) as f64,
+        "count",
+        "EngineStats of the directly patched engine",
+    );
 
     let (mut server, mut engine) = (cap.server, cap.engine);
     for o in [&lo, &hi] {
         if let Some((_, s, e)) = &o.server {
             add_stats(&mut server, &mut engine, s, e);
         }
-    }
-    if w.write_every() > 0 {
-        report.pct("serve.update_us", &update_us, 50.0, "us");
-        report.pct("serve.update_us.p90", &update_us, 90.0, "us");
-        report.value(
-            "serve.invalidated_per_update",
-            engine.invalidated_rows as f64 / engine.updates.max(1) as f64,
-            "count",
-            "EngineStats over the live phases",
-        );
     }
     report.value(
         "serve.first_hop_hit_rate",

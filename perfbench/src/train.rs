@@ -1,77 +1,40 @@
-//! `train-d16`: the paper's deep-GCN setting on Cora.
+//! The training stage of every workload: the paper's deep-GCN training
+//! path (`autograd`, `core`, `tensor`, `nn`), then full-graph evaluation.
 //!
-//! A 16-layer GCN (hidden 64, dropout 0.5) with SkipNode-U at ρ = 0.8 is
-//! trained on the semi-supervised split for a fixed epoch budget with
-//! early stopping off and an evaluation every 10 epochs; each trained
-//! model is then evaluated on the full graph over and over. The dataset
-//! is fixed; the seed draws each call's split, initial weights, dropout
-//! and skip masks.
+//! A GCN of the workload's depth (hidden 64, dropout 0.5) with SkipNode-U
+//! at the depth-tuned rate is trained on the semi-supervised split for a
+//! fixed epoch budget with early stopping off and an evaluation every 10
+//! epochs; each trained model is then evaluated on the full graph over
+//! and over. The graph is fixed; the seed draws each call's split,
+//! initial weights, dropout and skip masks.
 //!
-//! The untraced run times `TRAIN_CALLS` `train_node_classifier` calls,
-//! each followed by `EVALS_PER_CALL` `evaluate` calls of its model, and
-//! nothing else: a fixed amount of work, whatever `--seconds` says.
-//! The traced run replays the trainer's epoch loop from
-//! the library's public per-epoch calls (`begin_epoch`, `replay_forward`,
-//! `softmax_cross_entropy`, `backward`, `Adam::step`), timing each one,
-//! and gates on the replay reaching exactly the trainer's test accuracy.
+//! The untraced stage times `train_calls` `train_node_classifier` calls,
+//! each followed by `evals_per_call` `evaluate` calls of its model: a
+//! fixed amount of work, whatever `--seconds` says. The traced stage
+//! replays the trainer's epoch loop from the library's public per-epoch
+//! calls (`begin_epoch`, `replay_forward`, `softmax_cross_entropy`,
+//! `backward`, `Adam::step`), timing each one, and gates on the replay
+//! reaching exactly the trainer's test accuracy.
 
-use crate::report::{peak_rss_mb, time_ms, timed_setup, Ops, Report, Samples};
+use crate::report::{time_ms, Ops, Report, Samples};
+use crate::workload::{Workload, HIDDEN};
 use skipnode_autograd::softmax_cross_entropy;
-use skipnode_core::{Sampling, SkipNodeConfig};
-use skipnode_graph::{load, semi_supervised_split, DatasetName, Graph, Scale, Split};
+use skipnode_graph::{semi_supervised_split, Graph, Split};
 use skipnode_nn::{
-    accuracy, compile_train_program, evaluate, train_node_classifier, Adam, BackboneSpec, Model,
-    Strategy, StrategySampler, TrainConfig,
+    accuracy, compile_train_program, evaluate, train_node_classifier, Adam, Model, StrategySampler,
 };
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::{kstats, workspace, Matrix, SplitRng};
 use std::sync::Arc;
 use std::time::Instant;
 
-const DEPTH: usize = 16;
-const HIDDEN: usize = 64;
-const DROPOUT: f64 = 0.5;
-/// The depth-16 SkipNode rate of the paper-table harness (`tuned_rho(16)`).
-const RHO: f64 = 0.8;
-/// Generation seed of the synthetic Cora: the dataset, not the input.
-const CORA_SEED: u64 = 7;
-/// Fixed epoch budget of one training call.
-const EPOCHS: usize = 100;
-/// Training calls per untraced run, each from its own seed; `train_s` is
-/// their median and `test_acc` their mean (single runs of a 16-layer GCN
-/// vary by seed far more than in time).
-const TRAIN_CALLS: u64 = 3;
-const EVAL_EVERY: usize = 10;
-/// Untimed warm-up set-ups, then timed ones; `setup_s` is their median.
-const SETUP_WARMUP: usize = 10;
-const SETUP_REPS: usize = 31;
-/// Timed `compile_train_program` calls in the traced run.
+/// Timed graph generations and adjacency builds in the traced stage.
+const LOAD_REPS: usize = 21;
+/// Timed `compile_train_program` calls in the traced stage.
 const COMPILE_REPS: usize = 5;
-/// Full-graph evaluations after each training call.
-const EVALS_PER_CALL: usize = 70;
-/// Full-graph evaluations of the traced run's model, so `eval_ms.p90`
+/// Full-graph evaluations of the traced stage's model, so `eval_ms.p90`
 /// has ten samples beyond it.
 const TRACE_EVALS: usize = 110;
-
-fn strategy() -> Strategy {
-    Strategy::SkipNode(SkipNodeConfig::new(RHO, Sampling::Uniform))
-}
-
-fn config() -> TrainConfig {
-    TrainConfig {
-        epochs: EPOCHS,
-        patience: 0,
-        eval_every: EVAL_EVERY,
-        ..TrainConfig::default()
-    }
-}
-
-/// Graph generation plus adjacency build: the measured set-up.
-fn setup() -> (Graph, Arc<CsrMatrix>) {
-    let graph = load(DatasetName::Cora, Scale::Bench, CORA_SEED);
-    let adj = graph.gcn_adjacency();
-    (graph, adj)
-}
 
 /// The seed of training call `call` of a run; call 0 uses the run's seed.
 fn call_seed(seed: u64, call: u64) -> u64 {
@@ -79,18 +42,10 @@ fn call_seed(seed: u64, call: u64) -> u64 {
 }
 
 /// A fresh model, split and training RNG, all drawn from `seed`.
-fn fresh(graph: &Graph, seed: u64) -> (Box<dyn Model>, Split, SplitRng) {
+fn fresh(w: &Workload, graph: &Graph, seed: u64) -> (Box<dyn Model>, Split, SplitRng) {
     let mut rng = SplitRng::new(seed);
     let split = semi_supervised_split(graph, &mut rng);
-    let spec = BackboneSpec::new(
-        "gcn",
-        graph.feature_dim(),
-        HIDDEN,
-        graph.num_classes(),
-        DEPTH,
-        DROPOUT,
-    );
-    let model = spec.build(&mut rng).expect("gcn builds");
+    let model = w.spec(graph).build(&mut rng).expect("gcn builds");
     (model, split, rng)
 }
 
@@ -102,41 +57,48 @@ fn same_bits(a: &Matrix, b: &Matrix) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// The untraced run: end-to-end metrics only, counters off.
-pub fn run(seed: u64, report: &mut Report) {
-    let ((graph, adj), setup_s) = timed_setup(SETUP_WARMUP, SETUP_REPS, setup);
-    report.pct("setup_s", &setup_s, 50.0, "s");
-    let strategy = strategy();
-    let cfg = config();
+/// The untraced stage: `train_s`, `test_acc` and `eval_ms`, counters
+/// off. Returns the first call's trained model, the one that is served.
+pub fn measure(
+    w: &Workload,
+    graph: &Graph,
+    adj: &Arc<CsrMatrix>,
+    seed: u64,
+    report: &mut Report,
+) -> Box<dyn Model> {
+    let strategy = w.strategy();
+    let cfg = w.train_config();
 
     let mut train_s = Samples::default();
     let mut accs: Vec<f64> = Vec::new();
     let mut eval_ms = Samples::default();
     let mut identical = true;
-    for call in 0..TRAIN_CALLS {
-        let (mut model, split, mut rng) = fresh(&graph, call_seed(seed, call));
+    let mut served = None;
+    for call in 0..w.train_calls {
+        let (mut model, split, mut rng) = fresh(w, graph, call_seed(seed, call));
         let t = Instant::now();
         let result =
-            train_node_classifier(model.as_mut(), &graph, &split, &strategy, &cfg, &mut rng);
+            train_node_classifier(model.as_mut(), graph, &split, &strategy, &cfg, &mut rng);
         train_s.push(t.elapsed().as_secs_f64());
         accs.push(result.test_accuracy);
 
         let mut reference: Option<Matrix> = None;
-        for _ in 0..EVALS_PER_CALL {
+        for _ in 0..w.evals_per_call {
             let mut rng = SplitRng::new(seed);
             let t = Instant::now();
-            let (logits, _) = evaluate(model.as_ref(), &graph, &adj, &strategy, &mut rng);
+            let (logits, _) = evaluate(model.as_ref(), graph, adj, &strategy, &mut rng);
             eval_ms.push_ms(t.elapsed());
             match &reference {
                 None => reference = Some(logits),
                 Some(r) => identical &= same_bits(r, &logits),
             }
         }
+        served.get_or_insert(model);
     }
     report.ops(
         "training runs",
         Ops {
-            attempted: TRAIN_CALLS,
+            attempted: w.train_calls,
             failed: 0,
         },
     );
@@ -158,10 +120,13 @@ pub fn run(seed: u64, report: &mut Report) {
         "test_acc",
         accs.iter().sum::<f64>() / accs.len() as f64,
         "share",
-        &format!("mean TrainResult::test_accuracy after {EPOCHS} epochs of calls {accs:?}"),
+        &format!(
+            "mean TrainResult::test_accuracy after {} epochs of calls {accs:?}",
+            w.epochs
+        ),
     );
     report.pct("eval_ms", &eval_ms, 50.0, "ms");
-    report.value("peak_rss_mb", peak_rss_mb(), "MiB", "VmHWM");
+    served.expect("at least one training call")
 }
 
 /// Per-epoch phase timings of the traced replay.
@@ -208,15 +173,16 @@ impl Counters {
 /// The trainer's epoch loop replayed from public calls, every phase
 /// timed. Returns the test accuracy at the best-validation epoch.
 fn traced_training(
+    w: &Workload,
     graph: &Graph,
     adj: &Arc<CsrMatrix>,
     seed: u64,
     phases: &mut Phases,
     counters: &mut Counters,
 ) -> (f64, Box<dyn Model>) {
-    let strategy = strategy();
-    let cfg = config();
-    let (mut model, split, mut rng) = fresh(graph, seed);
+    let strategy = w.strategy();
+    let cfg = w.train_config();
+    let (mut model, split, mut rng) = fresh(w, graph, seed);
     let degrees = graph.degrees();
     let labels = graph.labels();
 
@@ -277,35 +243,37 @@ fn traced_training(
     (best_test, model)
 }
 
-/// The traced run: per-layer metrics from timed public calls and the
-/// crates' own counters.
-pub fn run_traced(seed: u64, report: &mut Report) {
-    let load_ms = time_ms(SETUP_REPS, || {
-        load(DatasetName::Cora, Scale::Bench, CORA_SEED)
-    });
+/// The traced stage: per-layer training metrics from timed public calls
+/// and the crates' own counters. Returns the untraced call's trained
+/// model, the one that is served.
+pub fn measure_traced(
+    w: &Workload,
+    graph: &Graph,
+    adj: &Arc<CsrMatrix>,
+    seed: u64,
+    report: &mut Report,
+) -> Box<dyn Model> {
+    let load_ms = time_ms(LOAD_REPS, || w.generate_graph());
     let mut normalize_ms = Samples::default();
-    let mut graph = None;
-    for _ in 0..SETUP_REPS {
-        let g = load(DatasetName::Cora, Scale::Bench, CORA_SEED);
+    for _ in 0..LOAD_REPS {
+        let g = w.generate_graph();
         let t = Instant::now();
         std::hint::black_box(g.gcn_adjacency());
         normalize_ms.push_ms(t.elapsed());
-        graph = Some(g);
     }
-    let graph = graph.expect("one load");
-    let adj = graph.gcn_adjacency();
     let n = graph.num_nodes();
+    let strategy = w.strategy();
 
     // Untraced reference call, counters off.
     kstats::set_enabled(false);
-    let (mut model, split, mut rng) = fresh(&graph, seed);
+    let (mut model, split, mut rng) = fresh(w, graph, seed);
     let t = Instant::now();
     let untraced = train_node_classifier(
         model.as_mut(),
-        &graph,
+        graph,
         &split,
-        &strategy(),
-        &config(),
+        &strategy,
+        &w.train_config(),
         &mut rng,
     );
     let untraced_s = t.elapsed().as_secs_f64();
@@ -315,21 +283,21 @@ pub fn run_traced(seed: u64, report: &mut Report) {
     kstats::reset();
     let mut phases = Phases::default();
     let mut counters = Counters::new();
-    let (probe_model, _, _) = fresh(&graph, seed);
+    let (probe_model, _, _) = fresh(w, graph, seed);
     let compile_ms = time_ms(COMPILE_REPS, || {
-        compile_train_program(probe_model.as_ref(), &graph, &adj, &strategy(), true)
+        compile_train_program(probe_model.as_ref(), graph, adj, &strategy, true)
             .expect("gcn compiles")
     });
     let t = Instant::now();
-    let (traced_acc, model) = traced_training(&graph, &adj, seed, &mut phases, &mut counters);
+    let (traced_acc, replayed) = traced_training(w, graph, adj, seed, &mut phases, &mut counters);
     let traced_s = t.elapsed().as_secs_f64();
     kstats::set_enabled(false);
     let eval_ms = time_ms(TRACE_EVALS, || {
         evaluate(
-            model.as_ref(),
-            &graph,
-            &adj,
-            &strategy(),
+            replayed.as_ref(),
+            graph,
+            adj,
+            &strategy,
             &mut SplitRng::new(seed),
         )
     });
@@ -390,7 +358,7 @@ pub fn run_traced(seed: u64, report: &mut Report) {
     report.pct("tensor.gemm_ms.in", &gemm_in_ms, 50.0, "ms");
     report.pct("tensor.gemm_ms.hid", &gemm_hid_ms, 50.0, "ms");
 
-    let epochs = EPOCHS as f64;
+    let epochs = w.epochs as f64;
     for (layer, kernel) in [
         ("tensor", "gemm"),
         ("tensor", "gemm_at_b"),
@@ -416,12 +384,18 @@ pub fn run_traced(seed: u64, report: &mut Report) {
             note,
         );
     }
+    // A depth-2 GCN has no middle layer for SkipNode to act on, so no
+    // `spmm_subset` call: every row stays active.
     let (subset_calls, subset_rows) = counters.get("spmm_subset");
     report.value(
         "core.skip_active_share",
-        subset_rows as f64 / (subset_calls as f64 * n as f64),
+        if subset_calls == 0 {
+            1.0
+        } else {
+            subset_rows as f64 / (subset_calls as f64 * n as f64)
+        },
         "share",
-        "spmm_subset rows / (spmm_subset calls x n)",
+        "spmm_subset rows / (spmm_subset calls x n); 1 without a middle layer",
     );
     // One Ã·(n×64) SpMM: CSR arrays once, one gathered 64-wide operand row
     // per nonzero, one written output row per node.
@@ -442,4 +416,5 @@ pub fn run_traced(seed: u64, report: &mut Report) {
         "s",
         &format!("traced replay {traced_s:.3} s minus untraced call {untraced_s:.3} s"),
     );
+    model
 }
