@@ -257,9 +257,8 @@ impl Tape {
         let (rows, cols) = self.shape(x);
         // The mask is drawn in both modes, so eager and inference forwards
         // consume identical RNG streams.
-        let mask: Vec<f32> = (0..rows * cols)
-            .map(|_| if rng.bernoulli(p) { 0.0 } else { scale })
-            .collect();
+        let mut mask = vec![0.0f32; rows * cols];
+        rng.fill_mask(&mut mask, p, 0.0, scale);
         if self.infer() {
             return self.push_pending(rows, cols, Op::Mask { x, mask, rate: p });
         }
@@ -280,9 +279,8 @@ impl Tape {
         }
         let scale = (1.0 / (1.0 - p)) as f32;
         let (rows, cols) = self.shape(x);
-        let factors: Vec<f32> = (0..rows)
-            .map(|_| if rng.bernoulli(p) { 0.0 } else { scale })
-            .collect();
+        let mut factors = vec![0.0f32; rows];
+        rng.fill_mask(&mut factors, p, 0.0, scale);
         if self.infer() {
             return self.push_pending(
                 rows,

@@ -397,16 +397,10 @@ impl TrainProgram {
             }
             match &mut self.tape.nodes[idx].op {
                 Op::Mask { mask, rate, .. } => {
-                    let scale = (1.0 / (1.0 - *rate)) as f32;
-                    for m in mask.iter_mut() {
-                        *m = if rng.bernoulli(*rate) { 0.0 } else { scale };
-                    }
+                    rng.fill_mask(mask, *rate, 0.0, (1.0 / (1.0 - *rate)) as f32);
                 }
                 Op::RowMask { factors, rate, .. } => {
-                    let scale = (1.0 / (1.0 - *rate)) as f32;
-                    for f in factors.iter_mut() {
-                        *f = if rng.bernoulli(*rate) { 0.0 } else { scale };
-                    }
+                    rng.fill_mask(factors, *rate, 0.0, (1.0 / (1.0 - *rate)) as f32);
                 }
                 Op::RowCombine { take_skip, .. } => {
                     sampler.skip_mask(rng, take_skip);
@@ -1472,5 +1466,50 @@ mod tests {
             prog.grads.iter().all(Option::is_none),
             "all interior gradients recycled"
         );
+    }
+
+    /// Independent anchor for mask generation: the masks `Tape::dropout` /
+    /// `Tape::dropout_rows` record and the masks `begin_epoch` redraws both
+    /// equal a hand-rolled scalar `bernoulli` loop over the same stream.
+    #[test]
+    fn recorded_and_replayed_masks_match_scalar_bernoulli_loop() {
+        let (rows, cols, p, p_rows) = (37, 5, 0.5, 0.3); // 185 draws: ragged blocks
+        let mut init = SplitRng::new(3);
+        let x = init.uniform_matrix(rows, cols, -1.0, 1.0);
+        let w = init.uniform_matrix(cols, cols, -0.5, 0.5);
+        let record = |tape: &mut Tape, fwd: &mut SplitRng| {
+            let xn = tape.constant(x.clone());
+            let wn = tape.param(w.clone());
+            let h = tape.matmul(xn, wn);
+            let d = tape.dropout(h, p, fwd);
+            let r = tape.dropout_rows(d, p_rows, fwd);
+            (d, r)
+        };
+        let scalar = |seed: u64| {
+            let mut rng = SplitRng::new(seed);
+            let mut draw = |n: usize, p: f64| -> Vec<f32> {
+                let scale = (1.0 / (1.0 - p)) as f32;
+                (0..n)
+                    .map(|_| if rng.bernoulli(p) { 0.0 } else { scale })
+                    .collect()
+            };
+            (draw(rows * cols, p), draw(rows, p_rows))
+        };
+        let masks =
+            |tape: &Tape, d: NodeId, r: NodeId| match (&tape.nodes[d.0].op, &tape.nodes[r.0].op) {
+                (Op::Mask { mask, .. }, Op::RowMask { factors, .. }) => {
+                    (mask.clone(), factors.clone())
+                }
+                _ => panic!("expected Mask and RowMask records"),
+            };
+
+        let mut tape = Tape::new();
+        let (d, r) = record(&mut tape, &mut SplitRng::new(11));
+        assert_eq!(masks(&tape, d, r), scalar(11), "eager record");
+
+        let out = tape.relu(r);
+        let mut prog = TrainProgram::compile(tape, vec![out]).unwrap();
+        prog.begin_epoch(&mut UniformSampler { p: 0.5 }, &mut SplitRng::new(12));
+        assert_eq!(masks(&prog.tape, d, r), scalar(12), "compiled redraw");
     }
 }

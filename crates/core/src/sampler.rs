@@ -74,17 +74,25 @@ impl SkipNodeConfig {
     /// Sample the diagonal of `P^(l)`: `mask[i] == true` means node `i`
     /// skips this layer's convolution. Resample per layer, per epoch.
     pub fn sample_mask(&self, degrees: &[usize], rng: &mut SplitRng) -> Vec<bool> {
+        let mut mask = vec![false; degrees.len()];
+        self.sample_mask_into(degrees, rng, &mut mask);
+        mask
+    }
+
+    /// [`Self::sample_mask`] into a caller-owned buffer, drawing the
+    /// identical stream.
+    ///
+    /// # Panics
+    /// Panics if `mask.len() != degrees.len()`.
+    pub fn sample_mask_into(&self, degrees: &[usize], rng: &mut SplitRng, mask: &mut [bool]) {
         let n = degrees.len();
-        let mut mask = vec![false; n];
+        assert_eq!(mask.len(), n, "mask length must match the node count");
+        mask.fill(false);
         if self.rate == 0.0 || n == 0 {
-            return mask;
+            return;
         }
         match self.sampling {
-            Sampling::Uniform => {
-                for m in &mut mask {
-                    *m = rng.bernoulli(self.rate);
-                }
-            }
+            Sampling::Uniform => rng.fill_mask(mask, self.rate, true, false),
             Sampling::Biased => {
                 let k = ((self.rate * n as f64).floor() as usize).min(n);
                 let weights: Vec<f64> = degrees.iter().map(|&d| (d + 1) as f64).collect();
@@ -108,7 +116,6 @@ impl SkipNodeConfig {
                 }
             }
         }
-        mask
     }
 }
 

@@ -72,15 +72,28 @@ fn read_params<R: Read>(r: &mut R) -> io::Result<ParamStore> {
         let len = rows
             .checked_mul(cols)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "shape overflow"))?;
-        let mut data = vec![0.0f32; len];
-        let mut buf = [0u8; 4];
-        for v in &mut data {
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
-        store.add(name, Matrix::from_vec(rows, cols, data));
+        store.add(name, Matrix::from_vec(rows, cols, read_f32s(r, len)?));
     }
     Ok(store)
+}
+
+/// Read `len` little-endian `f32`s in bounded chunks. The header's
+/// `rows × cols` is untrusted, so the buffer grows only as bytes actually
+/// arrive: a truncated or oversized claim fails with `UnexpectedEof` after
+/// at most twice the bytes the stream really holds.
+fn read_f32s<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f32>> {
+    const CHUNK: usize = 1 << 14;
+    let mut data = Vec::new();
+    let mut bytes = vec![0u8; 4 * CHUNK.min(len)];
+    while data.len() < len {
+        let buf = &mut bytes[..4 * (len - data.len()).min(CHUNK)];
+        r.read_exact(buf)?;
+        data.extend(
+            buf.chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
+    }
+    Ok(data)
 }
 
 /// Check the magic and that the version field equals `want`.
@@ -305,6 +318,75 @@ mod tests {
         buf.extend_from_slice(&99u32.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         assert!(read_checkpoint(buf.as_slice()).is_err());
+    }
+
+    /// A small v2 checkpoint and the byte offset of its first parameter's
+    /// `rows` field.
+    fn small_model_checkpoint() -> (Vec<u8>, usize) {
+        let spec = BackboneSpec::new("sgc", 5, 4, 2, 2, 0.0);
+        let model = spec.build(&mut SplitRng::new(7)).unwrap();
+        let ckpt = ModelCheckpoint::capture(&spec, model.as_ref());
+        let mut buf = Vec::new();
+        ckpt.write(&mut buf).unwrap();
+        let first_name = ckpt.params.name(ckpt.params.ids()[0]).len();
+        // magic, version, spec name, four dims, dropout, count, param name
+        let rows_at = 4 + 4 + (4 + spec.name.len()) + 16 + 8 + 4 + (4 + first_name);
+        (buf, rows_at)
+    }
+
+    #[test]
+    fn corrupt_model_checkpoints_fail_soft() {
+        let (good, rows_at) = small_model_checkpoint();
+        let loaded = ModelCheckpoint::read(good.as_slice()).unwrap();
+        let first = loaded.params.value(loaded.params.ids()[0]);
+        let shape = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        assert_eq!(shape(&good, rows_at) as usize, first.rows());
+        assert_eq!(shape(&good, rows_at + 4) as usize, first.cols());
+
+        // Truncation at every byte offset.
+        for cut in 0..good.len() {
+            assert!(
+                ModelCheckpoint::read(&good[..cut]).is_err(),
+                "truncated at {cut} of {} bytes accepted",
+                good.len()
+            );
+        }
+
+        // Oversized shape claims: each needs far more bytes than the file
+        // holds and must fail before allocating them.
+        for (rows, cols) in [
+            (u32::MAX, u32::MAX),
+            (u32::MAX, 1),
+            (1, u32::MAX),
+            (1 << 16, 1 << 16),
+        ] {
+            let mut bad = good.clone();
+            bad[rows_at..rows_at + 4].copy_from_slice(&rows.to_le_bytes());
+            bad[rows_at + 4..rows_at + 8].copy_from_slice(&cols.to_le_bytes());
+            assert!(
+                ModelCheckpoint::read(bad.as_slice()).is_err(),
+                "{rows}x{cols} header accepted"
+            );
+        }
+
+        // Seeded random bit flips. A flip inside a value or a spec field
+        // leaves a well-formed file (the format carries no checksum), so the
+        // contract is: never panic, and whatever loads fits in the file.
+        let mut rng = SplitRng::new(0xC0FFEE);
+        for _ in 0..4000 {
+            let mut bad = good.clone();
+            let at = rng.below(bad.len());
+            bad[at] ^= 1 << rng.below(8);
+            if let Ok(ckpt) = ModelCheckpoint::read(bad.as_slice()) {
+                let elems: usize = ckpt
+                    .params
+                    .ids()
+                    .iter()
+                    .map(|&id| ckpt.params.value(id).len())
+                    .sum();
+                assert!(4 * elems <= bad.len(), "flip at {at} loaded {elems} values");
+            }
+        }
     }
 
     /// Ring graph + deterministic features for the model round trips.

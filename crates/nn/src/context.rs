@@ -7,59 +7,66 @@ use skipnode_sparse::{gcn_adjacency_filtered, gcn_adjacency_with_node_mask, CsrM
 use skipnode_tensor::{SegmentTable, SplitRng};
 use std::sync::Arc;
 
-/// Draw a per-node skip mask, covariant with a cache-locality reordering.
+/// Draw a per-node skip mask into `out`, covariant with a cache-locality
+/// reordering.
 ///
-/// Without an order this is a plain [`SkipNodeConfig::sample_mask`]. With
-/// one, the draw happens in *logical* (original-id) order against logical
-/// degrees, then permutes into physical order — so a reordered training
-/// run consumes the identical RNG stream and skips the identical logical
-/// nodes as the unreordered run (the reorder round-trip tests pin this).
-pub(crate) fn sample_skip_mask(
+/// Without an order this is a plain [`SkipNodeConfig::sample_mask_into`].
+/// With one, the draw happens in *logical* (original-id) order against
+/// logical degrees, then permutes into physical order — so a reordered
+/// training run consumes the identical RNG stream and skips the identical
+/// logical nodes as the unreordered run (the reorder round-trip tests pin
+/// this).
+fn sample_skip_mask(
     cfg: &SkipNodeConfig,
     degrees: &[usize],
     order: Option<&Reordering>,
     rng: &mut SplitRng,
-) -> Vec<bool> {
+    out: &mut [bool],
+) {
     match order {
-        None => cfg.sample_mask(degrees, rng),
+        None => cfg.sample_mask_into(degrees, rng, out),
         Some(ord) => {
             let n = degrees.len();
             let logical_deg: Vec<usize> = (0..n).map(|o| degrees[ord.inv[o]]).collect();
             let logical = cfg.sample_mask(&logical_deg, rng);
-            (0..n).map(|j| logical[ord.perm[j]]).collect()
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = logical[ord.perm[j]];
+            }
         }
     }
 }
 
-/// Segment-aware skip-mask draw for packed multi-graph batches: one
-/// independent draw per graph, in segment (= logical row) order, so the
-/// skip rate and degree-biased weighting are computed *within* each graph
-/// rather than across the union.
+/// Segment-aware skip-mask draw into `out` for packed multi-graph
+/// batches: one independent draw per graph, in segment (= logical row)
+/// order, so the skip rate and degree-biased weighting are computed
+/// *within* each graph rather than across the union.
 ///
 /// RNG-parity rule: segments are contiguous and ordered, so a 1-segment
-/// batch makes exactly one [`SkipNodeConfig::sample_mask`] call over the
-/// full degree slice — the identical call, consuming the identical stream,
-/// as the single-graph path. The packed-identity tests pin this bitwise.
+/// batch makes exactly one [`SkipNodeConfig::sample_mask_into`] call over
+/// the full degree slice — the identical call, consuming the identical
+/// stream, as the single-graph path. The packed-identity tests pin this
+/// bitwise.
 pub(crate) fn sample_skip_mask_segmented(
     cfg: &SkipNodeConfig,
     degrees: &[usize],
     order: Option<&Reordering>,
     segments: Option<&SegmentTable>,
     rng: &mut SplitRng,
-) -> Vec<bool> {
+    out: &mut [bool],
+) {
+    assert_eq!(out.len(), degrees.len(), "skip mask length mismatch");
     match segments {
-        None => sample_skip_mask(cfg, degrees, order, rng),
+        None => sample_skip_mask(cfg, degrees, order, rng, out),
         Some(seg) => {
             assert!(
                 order.is_none(),
                 "cache-locality reordering does not compose with packed batches"
             );
             assert_eq!(seg.total_rows(), degrees.len(), "segment table mismatch");
-            let mut mask = Vec::with_capacity(degrees.len());
             for s in 0..seg.num_segments() {
-                mask.extend(cfg.sample_mask(&degrees[seg.range(s)], rng));
+                let rows = seg.range(s);
+                cfg.sample_mask_into(&degrees[rows.clone()], rng, &mut out[rows]);
             }
-            mask
         }
     }
 }
@@ -149,11 +156,14 @@ impl Strategy {
         }
         match self {
             Strategy::DropEdge { rate } => {
-                let kept = edges.iter().copied().filter(|_| !rng.bernoulli(*rate));
-                Arc::new(gcn_adjacency_filtered(n, kept))
+                let mut dropped = vec![false; edges.len()];
+                rng.fill_mask(&mut dropped, *rate, true, false);
+                let kept = edges.iter().zip(&dropped).filter(|(_, &d)| !d);
+                Arc::new(gcn_adjacency_filtered(n, kept.map(|(&e, _)| e)))
             }
             Strategy::DropNode { rate } => {
-                let keep: Vec<bool> = (0..n).map(|_| !rng.bernoulli(*rate)).collect();
+                let mut keep = vec![true; n];
+                rng.fill_mask(&mut keep, *rate, false, true);
                 Arc::new(gcn_adjacency_with_node_mask(n, edges, &keep))
             }
             _ => Arc::clone(full),
@@ -248,13 +258,21 @@ impl<'a> ForwardCtx<'a> {
         if conv_shape != prev_shape {
             return None;
         }
-        Some(sample_skip_mask_segmented(
+        Some(self.sample_skip_mask(cfg))
+    }
+
+    /// One skip-mask draw over this forward's nodes.
+    fn sample_skip_mask(&mut self, cfg: &SkipNodeConfig) -> Vec<bool> {
+        let mut mask = vec![false; self.degrees.len()];
+        sample_skip_mask_segmented(
             cfg,
             self.degrees,
             self.node_order,
             self.segments.map(Arc::as_ref),
             self.rng,
-        ))
+            &mut mask,
+        );
+        mask
     }
 
     /// Post-convolution hook for *middle* layers: applies PairNorm
@@ -268,26 +286,14 @@ impl<'a> ForwardCtx<'a> {
                 if tape.shape(h_act) != tape.shape(h_prev) {
                     return h_act;
                 }
-                let mask = sample_skip_mask_segmented(
-                    cfg,
-                    self.degrees,
-                    self.node_order,
-                    self.segments.map(Arc::as_ref),
-                    self.rng,
-                );
+                let mask = self.sample_skip_mask(cfg);
                 tape.row_combine(h_act, h_prev, &mask)
             }
             Strategy::SkipNodeTrainEval(cfg) => {
                 if tape.shape(h_act) != tape.shape(h_prev) {
                     return h_act;
                 }
-                let mask = sample_skip_mask_segmented(
-                    cfg,
-                    self.degrees,
-                    self.node_order,
-                    self.segments.map(Arc::as_ref),
-                    self.rng,
-                );
+                let mask = self.sample_skip_mask(cfg);
                 tape.row_combine(h_act, h_prev, &mask)
             }
             _ => h_act,

@@ -113,13 +113,7 @@ impl EpochSampler for StrategySampler<'_> {
         let cfg = self
             .cfg
             .expect("recorded tape has skip layers but the strategy samples no masks");
-        out.copy_from_slice(&sample_skip_mask_segmented(
-            cfg,
-            self.degrees,
-            self.order,
-            self.segments,
-            rng,
-        ));
+        sample_skip_mask_segmented(cfg, self.degrees, self.order, self.segments, rng, out);
     }
 }
 

@@ -96,10 +96,37 @@ impl SplitRng {
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
     }
 
-    /// Bernoulli draw.
+    /// Bernoulli draw. The scalar reference for the mask kernels below.
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.unit() < p
+    }
+
+    /// The one mask kernel: `out[i] = if bernoulli(p) { hit } else { miss }`,
+    /// element `i` taking the `i`-th draw, branch-free. Bitwise the scalar
+    /// `bernoulli` loop, leaving the generator in the same state.
+    ///
+    /// Works in blocks of 64: first the serial `next_u64` chain fills a
+    /// stack array, then a separate select pass compares each draw `x`
+    /// against the integer threshold `k = ceil(p·2^53)`. `(x >> 11) < k` is
+    /// exactly `unit() < p`: `unit()` is `(x >> 11)·2^-53`, scaling by 2^53
+    /// is exact, and an integer is below a real iff it is below its
+    /// ceiling. The saturating cast maps `p ≤ 0` and NaN to `k = 0` (never
+    /// a hit), as the float test does. The select pass has no
+    /// data-dependent branch to mispredict.
+    pub fn fill_mask<T: Copy>(&mut self, out: &mut [T], p: f64, hit: T, miss: T) {
+        const BLOCK: usize = 64;
+        let k = (p * (1u64 << 53) as f64).ceil() as u64;
+        let mut draws = [0u64; BLOCK];
+        for chunk in out.chunks_mut(BLOCK) {
+            let draws = &mut draws[..chunk.len()];
+            for d in draws.iter_mut() {
+                *d = self.next_u64();
+            }
+            for (o, &x) in chunk.iter_mut().zip(draws.iter()) {
+                *o = if (x >> 11) < k { hit } else { miss };
+            }
+        }
     }
 
     /// Uniform integer in `[0, n)` (Lemire's multiply-shift, unbiased for
@@ -301,6 +328,65 @@ mod tests {
             hits > trials * 8 / 10,
             "heavy item picked only {hits}/{trials}"
         );
+    }
+
+    /// The mask kernels against a hand-rolled `bernoulli` loop: bitwise
+    /// equal output and the same generator state afterwards, across edge
+    /// rates, block-aligned and ragged lengths, and several seeds.
+    #[test]
+    fn mask_kernels_match_scalar_bernoulli_loop() {
+        let eps = f64::EPSILON / 2.0; // 2^-53
+        let rates = [0.0, eps, 1e-9, 0.1, 0.25, 0.5, 0.8, 1.0 - eps, 1.0];
+        let lengths = [0, 1, 63, 64, 65, 1000, 3 * 2708];
+        let scale = 1.25f32;
+        for seed in [0u64, 1, 5, 42, 0xDEAD_BEEF] {
+            for &p in &rates {
+                for &n in &lengths {
+                    let mut reference = SplitRng::new(seed);
+                    let want: Vec<bool> = (0..n).map(|_| reference.bernoulli(p)).collect();
+                    let after = reference.next_u64();
+
+                    let mut rng = SplitRng::new(seed);
+                    let mut got = vec![false; n];
+                    rng.fill_mask(&mut got, p, true, false);
+                    assert_eq!(got, want, "bool seed {seed} p {p} n {n}");
+                    assert_eq!(rng.next_u64(), after, "bool state seed {seed} p {p} n {n}");
+
+                    let mut rng = SplitRng::new(seed);
+                    let mut got = vec![f32::NAN; n];
+                    rng.fill_mask(&mut got, p, 0.0, scale);
+                    for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        let w = if w { 0.0f32 } else { scale };
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "f32 seed {seed} p {p} n {n} i {i}"
+                        );
+                    }
+                    assert_eq!(rng.next_u64(), after, "f32 state seed {seed} p {p} n {n}");
+                }
+            }
+        }
+    }
+
+    /// The threshold at its edge, which random rates almost never reach:
+    /// rates equal to a draw's `unit()` value and one ulp either side of it
+    /// classify that draw exactly as `bernoulli` does.
+    #[test]
+    fn mask_kernel_is_exact_at_the_threshold() {
+        for seed in 0..64u64 {
+            let u = SplitRng::new(seed).unit();
+            for p in [
+                f64::from_bits(u.to_bits() - 1),
+                u,
+                f64::from_bits(u.to_bits() + 1),
+            ] {
+                let want = SplitRng::new(seed).bernoulli(p);
+                let mut got = [false];
+                SplitRng::new(seed).fill_mask(&mut got, p, true, false);
+                assert_eq!(got[0], want, "seed {seed} p {p} unit {u}");
+            }
+        }
     }
 
     #[test]
